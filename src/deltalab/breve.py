@@ -20,7 +20,6 @@ values are chosen to match.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -30,6 +29,7 @@ from .distint import (
     LimitEstimate,
     accelerated_limit,
 )
+from .kernels import _validate_width
 from .quadrature import adaptive_quadrature
 
 __all__ = [
@@ -45,14 +45,6 @@ __all__ = [
 
 WELL_KINDS = ("breve", "delta_prime")
 WEIGHT_KINDS = (None, "abs_zeta")
-
-_MAX_PANELS = 1024
-
-
-def _validate_width(eps: float) -> None:
-    if not (isinstance(eps, (int, float)) and math.isfinite(eps) and eps > 0):
-        raise ValueError(f"well width must be a finite positive number, got {eps!r}")
-
 
 def _validate_weight(weight: str | None) -> None:
     if weight not in WEIGHT_KINDS:
@@ -107,7 +99,7 @@ def breve_sample(
         g = lambda z: abs(z) * f(z)
     else:
         g = f
-    integral = adaptive_quadrature(g, [-eps, 0.0, eps], tol=tol * eps, max_panels=_MAX_PANELS)
+    integral = adaptive_quadrature(g, [-eps, 0.0, eps], tol=tol * eps)
     return -integral / (eps * eps)
 
 
@@ -140,8 +132,8 @@ def delta_prime_sample(
     every width.
     """
     _validate_width(eps)
-    left = adaptive_quadrature(f, [-eps, 0.0], tol=tol * eps, max_panels=_MAX_PANELS)
-    right = adaptive_quadrature(f, [0.0, eps], tol=tol * eps, max_panels=_MAX_PANELS)
+    left = adaptive_quadrature(f, [-eps, 0.0], tol=tol * eps)
+    right = adaptive_quadrature(f, [0.0, eps], tol=tol * eps)
     return (left - right) / (eps * eps)
 
 

@@ -26,16 +26,13 @@ from .qm1d import (
     band_structure,
     bound_states,
     darboux_commutation_check,
-    darboux_transform,
     delta_prime_pair,
     delta_well_box,
-    GridPotential,
     scattering,
-    smoothed_abs,
+    susy_partner,
+    susy_partner_core_integral,
 )
 from .singular import ALPHA_MODES, singular_action
-
-import numpy as np
 
 
 class _CliError(ValueError):
@@ -235,9 +232,7 @@ def _run_command(ns: argparse.Namespace):
 
     if cmd == "action":
         f = make_function(ns.f)
-        kind = ActionKind(ns.kind, ns.order) if ns.kind == "derivative" else ActionKind(ns.kind)
-        if ns.kind != "derivative" and ns.order != 0:
-            raise _CliError("--order applies only to --kind derivative")
+        kind = ActionKind(ns.kind, ns.order)
         est = distribution_action(f, kind, kernel=ns.family, schedule=_schedule(ns), tol=ns.tol)
         cfg = {
             "f": ns.f, "kind": ns.kind, "order": ns.order, "family": ns.family,
@@ -313,16 +308,11 @@ def _run_command(ns: argparse.Namespace):
         return ["energy", "bloch_rhs", "allowed"], rows, cfg, [], False
 
     if cmd == "qm-darboux":
-        w = ns.span * ns.eps
-        grid = np.linspace(-w, w, ns.n + 1)
-        vals = np.where(np.abs(grid) <= ns.eps, -ns.g / (2.0 * ns.eps), 0.0)
-        gp = GridPotential(grid, vals)
-        psi0 = np.exp(-ns.g * smoothed_abs(ns.eps, grid))
-        partner = darboux_transform(gp, psi0)
-        core = float(np.trapezoid(partner.values, partner.grid))
+        well, partner = susy_partner(ns.g, ns.eps, ns.span, ns.n)
+        core = susy_partner_core_integral(ns.g, ns.eps, ns.span, ns.n)
         rows = [
             [float(z), float(v), float(p)]
-            for z, v, p in zip(partner.grid, gp.values[1:-1], partner.values)
+            for z, v, p in zip(partner.grid, well.values[1:-1], partner.values)
         ]
         cfg = {"g": ns.g, "eps": ns.eps, "span": ns.span, "n": ns.n}
         comments = ["core_integral: %.17g" % core]

@@ -39,7 +39,6 @@ _FLAT_TOL = 1e-13
 _NOISE_FLOOR = 1e-13
 _PUNCTURE_HALFWIDTH = 1e-12
 _FOURIER_BASE_WINDOW = 1.0
-_MAX_PANELS = 4096
 
 
 @dataclass(frozen=True)
@@ -221,15 +220,15 @@ def integrate_against(
     pts = sorted({a, b, *kernel.breakpoints(a, b),
                   *(e for e in (-kernel.width, kernel.width) if a < e < b)})
     if not (a < 0.0 < b):
-        return adaptive_quadrature(g, pts, tol=tol, max_panels=_MAX_PANELS)
+        return adaptive_quadrature(g, pts, tol=tol)
     # Split at the origin: it is the symmetry point of every kernel and,
     # when a singularity of f is declared there, a sliver of half-width
     # 1e-12 is excluded on both sides.
     cut = _PUNCTURE_HALFWIDTH if singular_origin else 0.0
     left_pts = [p for p in pts if p < -cut] + [-cut]
     right_pts = [cut] + [p for p in pts if p > cut]
-    total = adaptive_quadrature(g, left_pts, tol=tol, max_panels=_MAX_PANELS)
-    total += adaptive_quadrature(g, right_pts, tol=tol, max_panels=_MAX_PANELS)
+    total = adaptive_quadrature(g, left_pts, tol=tol)
+    total += adaptive_quadrature(g, right_pts, tol=tol)
     return total
 
 
@@ -288,8 +287,8 @@ def _fourier_sample(f: Callable[[float], float], eps: float, tol: float) -> floa
 
     m = max(1, round(_FOURIER_BASE_WINDOW * freq / math.pi))
     edges = [j * period for j in range(m + 2)]
-    val_m = adaptive_quadrature(folded, edges[: m + 1], tol=tol, max_panels=_MAX_PANELS)
-    extra = adaptive_quadrature(folded, edges[m : m + 2], tol=tol, max_panels=_MAX_PANELS)
+    val_m = adaptive_quadrature(folded, edges[: m + 1], tol=tol)
+    extra = adaptive_quadrature(folded, edges[m : m + 2], tol=tol)
     return val_m + 0.5 * extra
 
 

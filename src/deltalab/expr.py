@@ -220,6 +220,17 @@ def _eval_node(node: tuple, z: float) -> float:
 
 
 def make_function(text: str) -> Callable[[float], float]:
-    """Compile an expression into a float -> float callable."""
+    """Compile an expression into a float -> float callable.
+
+    A point where the expression takes a complex value (a negative base
+    raised to a fractional power) raises ValueError naming that z.
+    """
     tree = parse(text)
-    return lambda z: float(_eval_node(tree, z))
+
+    def fn(z: float) -> float:
+        try:
+            return float(_eval_node(tree, z))
+        except TypeError:
+            raise ValueError(f"expression {text!r} is complex at z = {z!r}") from None
+
+    return fn

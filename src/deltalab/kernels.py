@@ -248,8 +248,9 @@ def _validate_kind(kind: str) -> None:
 
 
 def _validate_width(eps: float) -> None:
+    """The package's one width check, shared by every width-taking entry point."""
     if not (isinstance(eps, (int, float)) and math.isfinite(eps) and eps > 0):
-        raise ValueError(f"kernel width must be a finite positive number, got {eps!r}")
+        raise ValueError(f"width must be a finite positive number, got {eps!r}")
 
 
 @dataclass(frozen=True)

@@ -23,13 +23,15 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 from scipy.special import erf
+
+from .kernels import _validate_width
 
 __all__ = [
     "PiecewisePotential",
@@ -51,6 +53,7 @@ __all__ = [
     "ground_state",
     "darboux_transform",
     "smoothed_abs",
+    "susy_partner",
     "susy_partner_core_integral",
     "darboux_commutation_check",
 ]
@@ -107,7 +110,7 @@ def delta_well_box(g: float, eps: float) -> PiecewisePotential:
     """Attractive box of depth g/(2 eps) on |z| <= eps; integral is -g."""
     if g <= 0:
         raise ValueError(f"well strength g must be positive, got {g!r}")
-    _check_width(eps)
+    _validate_width(eps)
     return PiecewisePotential((-eps, eps), (0.0, -g / (2.0 * eps), 0.0))
 
 
@@ -123,7 +126,7 @@ def delta_prime_pair(c: float, eps: float) -> PiecewisePotential:
     """
     if c == 0:
         raise ValueError("pair strength c must be nonzero")
-    _check_width(eps)
+    _validate_width(eps)
     d = c / (eps * eps)
     return PiecewisePotential((-eps, 0.0, eps), (0.0, d, -d, 0.0))
 
@@ -134,11 +137,6 @@ def comb_cell(g: float, a: float, eps: float) -> PiecewisePotential:
     if a <= 2.0 * eps:
         raise ValueError(f"lattice period a = {a!r} must exceed the well width 2*eps")
     return delta_well_box(g, eps)
-
-
-def _check_width(eps: float) -> None:
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError(f"width must be a finite positive number, got {eps!r}")
 
 
 def _segment_matrix(e_minus_v: float, length: float) -> np.ndarray:
@@ -224,15 +222,7 @@ def scattering(
             tuple(-b for b in reversed(potential.breakpoints)),
             tuple(reversed(potential.values)),
         )
-        res = scattering(flipped, energy, "left")
-        return ScatteringResult(
-            energy=energy,
-            incident="right",
-            transmission=res.transmission,
-            reflection=res.reflection,
-            t_amplitude=res.t_amplitude,
-            r_amplitude=res.r_amplitude,
-        )
+        return replace(scattering(flipped, energy, "left"), incident="right")
 
     k = math.sqrt(2.0 * (energy - v_inf))
     m = transfer_matrix(potential, energy)
@@ -441,7 +431,7 @@ def smoothed_abs(eps: float, zeta):
     whose second derivative is twice the gaussian kernel of width eps.
     Converges to |z| pointwise; the offset at the origin is
     -eps sqrt(2/pi) + eps sqrt(2/pi) = 0."""
-    _check_width(eps)
+    _validate_width(eps)
     z = np.asarray(zeta, dtype=float)
     t = z / (eps * math.sqrt(2.0))
     out = z * erf(t) + eps * math.sqrt(2.0 / math.pi) * (np.exp(-(t**2)) - 1.0)
@@ -450,29 +440,37 @@ def smoothed_abs(eps: float, zeta):
     return out
 
 
+def susy_partner(
+    g: float,
+    eps: float,
+    half_width_factor: float = 10.0,
+    n_points: int = 2000,
+) -> tuple[GridPotential, GridPotential]:
+    """The well of delta_well_box sampled on n_points + 1 nodes of [-w, w],
+    w = half_width_factor * eps, and its Darboux partner on the interior
+    nodes.  The reference state exp(-g * smoothed_abs(eps, z)) is the
+    zero-width bound state with the kink smoothed on scale eps; the
+    partner is the well plus 2 g times the gaussian kernel."""
+    if g <= 0:
+        raise ValueError(f"well strength g must be positive, got {g!r}")
+    _validate_width(eps)
+    w = half_width_factor * eps
+    grid = np.linspace(-w, w, n_points + 1)
+    vals = np.where(np.abs(grid) <= eps, -g / (2.0 * eps), 0.0)
+    well = GridPotential(grid, vals)
+    psi0 = np.exp(-g * smoothed_abs(eps, grid))
+    return well, darboux_transform(well, psi0)
+
+
 def susy_partner_core_integral(
     g: float,
     eps: float,
     half_width_factor: float = 10.0,
     n_points: int = 2000,
 ) -> float:
-    """Integral of the Darboux partner of the smoothed narrow-well ground
-    state over the well region.
-
-    The reference state exp(-g * smoothed_abs(eps, z)) is the zero-width
-    bound state with the kink smoothed on scale eps; its partner potential
-    is the well plus 2 g times the gaussian kernel, so the integral over
-    [-10 eps, 10 eps] converges to -g + 2 g = +g.
-    """
-    if g <= 0:
-        raise ValueError(f"well strength g must be positive, got {g!r}")
-    _check_width(eps)
-    w = half_width_factor * eps
-    grid = np.linspace(-w, w, n_points + 1)
-    vals = np.where(np.abs(grid) <= eps, -g / (2.0 * eps), 0.0)
-    gp = GridPotential(grid, vals)
-    psi0 = np.exp(-g * smoothed_abs(eps, grid))
-    partner = darboux_transform(gp, psi0)
+    """Integral of the susy_partner partner over [-w, w], which converges
+    to -g + 2 g = +g as eps -> 0."""
+    _, partner = susy_partner(g, eps, half_width_factor, n_points)
     return float(np.trapezoid(partner.values, partner.grid))
 
 
@@ -493,7 +491,7 @@ def scarf_alpha(v0: float, eps: float) -> float:
     -1/eps^2 with alpha = -v0 eps^2 / sin^2(eps), which tends to -v0."""
     if v0 <= 0:
         raise ValueError(f"potential strength v0 must be positive, got {v0!r}")
-    _check_width(eps)
+    _validate_width(eps)
     s = math.sin(eps)
     return -v0 * eps * eps / (s * s)
 
@@ -523,7 +521,7 @@ def scarf_regularized(
     """
     if v0 <= 0:
         raise ValueError(f"potential strength v0 must be positive, got {v0!r}")
-    _check_width(eps)
+    _validate_width(eps)
     if not 0.0 < half_width <= 0.5 * math.pi:
         raise ValueError("half_width must lie in (0, pi/2]")
     if eps >= half_width:

@@ -115,7 +115,7 @@ def adaptive_quadrature(
     f: Callable[[float], float],
     points: Sequence[float],
     tol: float = 1e-10,
-    max_panels: int = 2048,
+    max_panels: int = 4096,
 ) -> float:
     """Integrate f over [points[0], points[-1]] with breakpoints at points.
 
@@ -125,7 +125,8 @@ def adaptive_quadrature(
         tol: absolute error target.  The effective target is
             max(tol, 50 * eps * integral of |f|), so demands below the
             roundoff floor of the integrand are satisfied at that floor.
-        max_panels: bisection budget.
+        max_panels: bisection budget; the package's drivers all rely on
+            this default.
 
     Raises:
         QuadratureBudgetError: the budget ran out above tolerance.  The
@@ -172,7 +173,6 @@ def adaptive_quadrature(
             # Panel at floating-point resolution; keep its contribution and
             # drop it from further refinement.
             total_err += neg_err  # neg_err is -err
-            n_panels += 0
             if not heap:
                 return total
             continue

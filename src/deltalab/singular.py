@@ -42,7 +42,7 @@ from .distint import (
     LimitEstimate,
     accelerated_limit,
 )
-from .kernels import eval_kernel
+from .kernels import _validate_width, eval_kernel
 from .quadrature import adaptive_quadrature
 
 __all__ = [
@@ -58,7 +58,6 @@ ALPHA_MODES = ("numeric", "closed-form")
 
 # The scaled profile |t|^k (1 - t^2) phi(t) is negligible beyond this |t|.
 _PROFILE_WINDOW = 12.0
-_MAX_PANELS = 4096
 
 # The hatted correction decays only like eps^k, with coefficients that can
 # dwarf the smooth part at the widest widths, so singular actions default
@@ -87,6 +86,14 @@ def _std_normal(t: float) -> float:
     return math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
 
 
+def _scaled_integral(fn: Callable[[float], float], tol: float) -> float:
+    """Integral of fn over the profile window in scaled coordinates t = z / eps,
+    with panel edges at the profile's zeros t = +-1 and at the origin."""
+    return adaptive_quadrature(
+        fn, [-_PROFILE_WINDOW, -1.0, 0.0, 1.0, _PROFILE_WINDOW], tol=tol
+    )
+
+
 @lru_cache(maxsize=None)
 def _profile_mass(k: int) -> float:
     """Integral of |t|^k (1 - t^2) phi(t) over the real line.
@@ -95,12 +102,7 @@ def _profile_mass(k: int) -> float:
     t = z / eps.  It is negative: the t^2 term carries more weight than
     the mass term for every k >= 1.
     """
-    return adaptive_quadrature(
-        lambda t: abs(t) ** k * (1.0 - t * t) * _std_normal(t),
-        [-_PROFILE_WINDOW, -1.0, 0.0, 1.0, _PROFILE_WINDOW],
-        tol=1e-15,
-        max_panels=_MAX_PANELS,
-    )
+    return _scaled_integral(lambda t: abs(t) ** k * (1.0 - t * t) * _std_normal(t), 1e-15)
 
 
 def singular_alpha(k: int, eps: float, mode: str = "numeric") -> float:
@@ -113,8 +115,7 @@ def singular_alpha(k: int, eps: float, mode: str = "numeric") -> float:
     constant eps^(-k) sqrt(pi) / (2^((k+1)/2) Gamma((k+1)/2)).
     """
     _validate_k(k)
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError(f"width must be positive, got {eps!r}")
+    _validate_width(eps)
     _validate_mode(mode)
     if mode == "numeric":
         return 1.0 / (eps**k * _profile_mass(k))
@@ -182,12 +183,7 @@ def _kernel_sample(
         hat = (1.0 + omega * abs(z) ** k) if hatted else 1.0
         return psi(z) * hat * s**k * (1.0 - s * s) * _std_normal(s)
 
-    raw = adaptive_quadrature(
-        profile,
-        [-_PROFILE_WINDOW, -1.0, 0.0, 1.0, _PROFILE_WINDOW],
-        tol=tol,
-        max_panels=_MAX_PANELS,
-    )
+    raw = _scaled_integral(profile, tol)
     # d z = eps d t and |z|^k = eps^k |t|^k combine with the 1/eps of the
     # gaussian into a net factor eps^k against alpha ~ eps^(-k).
     return kernel.alpha(eps) * eps**k * raw
@@ -245,12 +241,7 @@ def singular_moment_identity(k: int, eps: float, alpha_mode: str = "numeric") ->
     scale times alpha.
     """
     _validate_k(k)
-    scaled = adaptive_quadrature(
-        lambda t: (1.0 - t * t) * _std_normal(t),
-        [-_PROFILE_WINDOW, -1.0, 0.0, 1.0, _PROFILE_WINDOW],
-        tol=1e-15,
-        max_panels=_MAX_PANELS,
-    )
+    scaled = _scaled_integral(lambda t: (1.0 - t * t) * _std_normal(t), 1e-15)
     return singular_alpha(k, eps, alpha_mode) * scaled
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from deltalab import __version__
 from deltalab.cli import main
+from deltalab.qm1d import susy_partner_core_integral
 
 
 def run_cli(capsys, argv):
@@ -184,6 +185,16 @@ def test_bad_expression_is_a_single_line_error(capsys):
     assert err.count("\n") == 1
 
 
+def test_complex_expression_value_is_a_single_line_error(capsys):
+    # z^0.5 is complex for z < 0; the gaussian window samples negative z.
+    code, out, err = run_cli(capsys, ["action", "--f", "z^0.5"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert "z = " in err
+
+
 # ---------------------------------------------------------------------------
 # json format
 # ---------------------------------------------------------------------------
@@ -341,6 +352,29 @@ def test_qm_darboux_core_in_json_config(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["config"]["core_integral"] == pytest.approx(2.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("g", ["-1", "0"])
+def test_qm_darboux_rejects_non_positive_strength(capsys, g):
+    code, out, err = run_cli(
+        capsys, ["qm-darboux", "--g", g, "--eps", "0.001", "--n", "400"]
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
+def test_qm_darboux_core_comment_is_the_library_value(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        ["qm-darboux", "--g", "1", "--eps", "0.001", "--n", "1000",
+         "--no-timestamp"],
+    )
+    assert code == 0
+    core_lines = [c for c in csv_comments(out) if c.startswith("# core_integral:")]
+    expected = "%.17g" % susy_partner_core_integral(1.0, 0.001, 10.0, 1000)
+    assert core_lines == [f"# core_integral: {expected}"]
 
 
 def test_qm_commute_deviations_shrink(capsys):

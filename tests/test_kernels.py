@@ -9,15 +9,51 @@ from deltalab import (
     DeltaKernel,
     KERNEL_KINDS,
     UnsupportedDerivativeError,
+    WellKernel,
     adaptive_quadrature,
+    breve_sample,
     default_window,
+    delta_prime_sample,
     eval_kernel,
+    eval_well,
     heaviside_smooth,
     kernel_breakpoints,
     kernel_mass,
+    singular_alpha,
+)
+from deltalab.qm1d import (
+    delta_prime_pair,
+    delta_well_box,
+    scarf_alpha,
+    smoothed_abs,
+    susy_partner_core_integral,
 )
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+# Every public entry point that takes a width, called with that width.
+WIDTH_ENTRY_POINTS = {
+    "eval_kernel": lambda w: eval_kernel("gaussian", w, 0.0),
+    "kernel_mass": lambda w: kernel_mass("gaussian", w, -1.0, 1.0),
+    "DeltaKernel": lambda w: DeltaKernel("gaussian", w),
+    "eval_well": lambda w: eval_well("breve", w, 0.0),
+    "WellKernel": lambda w: WellKernel("breve", w),
+    "breve_sample": lambda w: breve_sample(math.cos, None, w),
+    "delta_prime_sample": lambda w: delta_prime_sample(math.cos, w),
+    "singular_alpha": lambda w: singular_alpha(1, w),
+    "delta_well_box": lambda w: delta_well_box(1.0, w),
+    "delta_prime_pair": lambda w: delta_prime_pair(1.0, w),
+    "smoothed_abs": lambda w: smoothed_abs(w, 0.0),
+    "scarf_alpha": lambda w: scarf_alpha(1.0, w),
+    "susy_partner_core_integral": lambda w: susy_partner_core_integral(1.0, w),
+}
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, "0.1"])
+@pytest.mark.parametrize("entry", sorted(WIDTH_ENTRY_POINTS))
+def test_width_contract_is_shared(entry, bad):
+    with pytest.raises(ValueError, match="width must be a finite positive number"):
+        WIDTH_ENTRY_POINTS[entry](bad)
 
 
 # ---------------------------------------------------------------------------
