@@ -24,7 +24,12 @@ from .kernels import (
     kernel_breakpoints,
     kernel_mass,
 )
-from .quadrature import QuadratureBudgetError, adaptive_quadrature, gauss_kronrod_panel
+from .quadrature import (
+    NonFiniteIntegrandError,
+    QuadratureBudgetError,
+    adaptive_quadrature,
+    gauss_kronrod_panel,
+)
 from .distint import (
     DEFAULT_SCHEDULE,
     ActionKind,
@@ -68,6 +73,7 @@ __all__ = [
     "heaviside_smooth",
     "kernel_breakpoints",
     "kernel_mass",
+    "NonFiniteIntegrandError",
     "QuadratureBudgetError",
     "adaptive_quadrature",
     "gauss_kronrod_panel",

@@ -22,16 +22,7 @@ from .breve import breve_action, delta_prime_action
 from .distint import ActionKind, EpsilonSchedule, distribution_action
 from .expr import make_function
 from .kernels import KERNEL_KINDS, eval_kernel
-from .qm1d import (
-    band_structure,
-    bound_states,
-    darboux_commutation_check,
-    delta_prime_pair,
-    delta_well_box,
-    scattering,
-    susy_partner,
-    susy_partner_core_integral,
-)
+from .quadrature import NonFiniteIntegrandError, QuadratureBudgetError
 from .singular import ALPHA_MODES, singular_action
 
 
@@ -269,7 +260,11 @@ def _run_command(ns: argparse.Namespace):
         }
         return ["value", "order", "residual", "diverged"], [_estimate_row(est)], cfg, [], est.diverged
 
+    # qm1d loads numpy (and, for the grid subcommands, scipy), so it is
+    # imported only by the subcommands that use it.
     if cmd == "qm-bound":
+        from .qm1d import bound_states, delta_well_box
+
         pot = delta_well_box(ns.g, ns.eps)
         window = None
         if ns.emin is not None or ns.emax is not None:
@@ -284,6 +279,8 @@ def _run_command(ns: argparse.Namespace):
         return ["n", "energy"], rows, cfg, [], False
 
     if cmd == "qm-scatter":
+        from .qm1d import delta_prime_pair, delta_well_box, scattering
+
         widths = _parse_eps_list(ns.eps)
         rows = []
         for eps in widths:
@@ -298,6 +295,8 @@ def _run_command(ns: argparse.Namespace):
         return ["eps", "energy", "transmission", "reflection"], rows, cfg, [], False
 
     if cmd == "qm-bands":
+        from .qm1d import band_structure
+
         if ns.n < 2:
             raise _CliError("--n must be at least 2")
         energies = [ns.emin + i * (ns.emax - ns.emin) / (ns.n - 1) for i in range(ns.n)]
@@ -308,6 +307,8 @@ def _run_command(ns: argparse.Namespace):
         return ["energy", "bloch_rhs", "allowed"], rows, cfg, [], False
 
     if cmd == "qm-darboux":
+        from .qm1d import susy_partner, susy_partner_core_integral
+
         well, partner = susy_partner(ns.g, ns.eps, ns.span, ns.n)
         core = susy_partner_core_integral(ns.g, ns.eps, ns.span, ns.n)
         rows = [
@@ -319,6 +320,8 @@ def _run_command(ns: argparse.Namespace):
         return ["zeta", "v", "v_partner"], rows, cfg, comments, False
 
     if cmd == "qm-commute":
+        from .qm1d import darboux_commutation_check
+
         widths = _parse_eps_list(ns.eps)
         pairs = darboux_commutation_check(ns.v0, widths, n_points=ns.n)
         rows = [[e, d] for e, d in pairs]
@@ -428,6 +431,10 @@ def main(argv=None) -> int:
         _emit(ns, columns, rows, cfg, comments)
         return 2 if diverged else 0
     except BrokenPipeError:
+        return 1
+    except (NonFiniteIntegrandError, QuadratureBudgetError) as exc:
+        # Only the pairing subcommands integrate, and their integrand is --f.
+        _diagnostic(f"expression {ns.f!r}: {exc}")
         return 1
     except (_CliError, ValueError, ZeroDivisionError, OverflowError) as exc:
         _diagnostic(str(exc))

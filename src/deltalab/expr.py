@@ -219,18 +219,33 @@ def _eval_node(node: tuple, z: float) -> float:
     return lhs**rhs
 
 
+# What an evaluation error means, by the error Python's arithmetic and the
+# math module raise: TypeError comes from a complex value (a negative base
+# raised to a fractional power) reaching float() or a math function.
+_EVAL_FAILURES = (
+    (TypeError, "is complex"),
+    (ZeroDivisionError, "divides by zero"),
+    (OverflowError, "overflows"),
+    (ValueError, "leaves a function's domain"),
+)
+
+
 def make_function(text: str) -> Callable[[float], float]:
     """Compile an expression into a float -> float callable.
 
-    A point where the expression takes a complex value (a negative base
-    raised to a fractional power) raises ValueError naming that z.
+    A point where the expression is complex, divides by zero, overflows
+    or leaves a function's domain (log or sqrt of a negative number)
+    raises ValueError naming the expression and that z.  A value that is
+    inf or nan without raising (1/z at a subnormal z) is returned; the
+    quadrature rejects it with NonFiniteIntegrandError.
     """
     tree = parse(text)
 
     def fn(z: float) -> float:
         try:
             return float(_eval_node(tree, z))
-        except TypeError:
-            raise ValueError(f"expression {text!r} is complex at z = {z!r}") from None
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+            what = next(msg for cls, msg in _EVAL_FAILURES if isinstance(exc, cls))
+            raise ValueError(f"expression {text!r} {what} at z = {z!r}") from None
 
     return fn

@@ -20,8 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import sici
-
 __all__ = [
     "KERNEL_KINDS",
     "MAX_DERIVATIVE_ORDER",
@@ -186,6 +184,8 @@ def kernel_mass(kind: str, eps: float, a: float, b: float) -> float:
         return (math.atan2(b, eps) - math.atan2(a, eps)) / math.pi
     if math.isinf(a) or math.isinf(b):
         raise ValueError("sinc mass is defined only on finite intervals")
+    from scipy.special import sici
+
     freq = 1.0 / eps
     si_b = sici(freq * b)[0]
     si_a = sici(freq * a)[0]

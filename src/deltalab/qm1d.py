@@ -27,9 +27,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import brentq
-from scipy.special import erf
 
 from .kernels import _validate_width
 
@@ -260,6 +257,82 @@ def _shooting_mismatch(potential: PiecewisePotential, energy: float) -> float:
     return dpsi + kap_r * psi
 
 
+# scipy.optimize.brentq's defaults, the only settings bound_states uses.
+_BRENT_RTOL = 4.0 * math.ulp(1.0)
+_BRENT_MAXITER = 100
+
+
+def brentq(f, a: float, b: float, xtol: float) -> float:
+    """Root of f in [a, b] by Brent's method (R. P. Brent, Algorithms for
+    Minimization without Derivatives, 1973, ch. 4).
+
+    An operation-for-operation port of scipy.optimize.brentq (its C core
+    and its argument checks) at scipy's default rtol and maxiter, so the
+    roots are bit-identical to scipy's without importing it.  The returned
+    x has |x - root| within xtol + 4 eps |x|.  Raises ValueError when
+    xtol <= 0, f(a) and f(b) have the same sign, or f returns nan;
+    RuntimeError when 100 iterations do not converge.
+    """
+    if not xtol > 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre = value(xpre)
+    fcur = value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        short = False
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate (secant)
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate (inverse quadratic)
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                short = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+            except ZeroDivisionError:
+                pass  # C's step would be inf or nan, which fails the test
+        if short:
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis  # bisect
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations.")
+
+
 def bound_states(
     potential: PiecewisePotential,
     window: tuple[float, float] | None = None,
@@ -270,7 +343,7 @@ def bound_states(
 
     The mismatch function of the decaying-tail shooting problem is scanned
     on a uniform energy grid inside the window and each sign change is
-    refined by bisection.  The default window spans from just above the
+    refined by brentq.  The default window spans from just above the
     deepest piece value to just below the lower asymptote.
     """
     v_edge = min(potential.left_asymptote, potential.right_asymptote)
@@ -299,7 +372,6 @@ def bound_states(
                 float(grid[i]),
                 float(grid[i + 1]),
                 xtol=tol,
-                rtol=4.0 * math.ulp(1.0),
             )
             roots.append(float(root))
     deduped: list[float] = []
@@ -385,6 +457,8 @@ def ground_state(potential: GridPotential) -> tuple[float, np.ndarray]:
     Returns (energy, psi) with psi nonnegative at its largest component
     and normalized so that h * sum(psi^2) = 1.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     h = potential.spacing
     n = potential.grid.size
     diag = 1.0 / h**2 + potential.values
@@ -431,6 +505,8 @@ def smoothed_abs(eps: float, zeta):
     whose second derivative is twice the gaussian kernel of width eps.
     Converges to |z| pointwise; the offset at the origin is
     -eps sqrt(2/pi) + eps sqrt(2/pi) = 0."""
+    from scipy.special import erf
+
     _validate_width(eps)
     z = np.asarray(zeta, dtype=float)
     t = z / (eps * math.sqrt(2.0))

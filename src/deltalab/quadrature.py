@@ -16,7 +16,12 @@ import heapq
 import math
 from typing import Callable, Sequence
 
-__all__ = ["QuadratureBudgetError", "adaptive_quadrature", "gauss_kronrod_panel"]
+__all__ = [
+    "NonFiniteIntegrandError",
+    "QuadratureBudgetError",
+    "adaptive_quadrature",
+    "gauss_kronrod_panel",
+]
 
 # 15-point Kronrod abscissae on [-1, 1] (non-negative half; the rule is
 # symmetric).  Even-indexed entries extend the 7-point Gauss rule, whose
@@ -57,6 +62,10 @@ _ROUNDOFF_FACTOR = 50.0
 _EPS = math.ulp(1.0)
 
 
+class NonFiniteIntegrandError(ValueError):
+    """Raised when the integrand returns inf or nan at a node."""
+
+
 class QuadratureBudgetError(RuntimeError):
     """Raised when the panel budget is exhausted before the tolerance is met.
 
@@ -94,7 +103,7 @@ def gauss_kronrod_panel(
         if x == 0.0:
             v = f(center)
             if not math.isfinite(v):
-                raise ValueError(f"integrand returned non-finite value at {center!r}")
+                raise NonFiniteIntegrandError(f"integrand returned non-finite value at {center!r}")
             fk += wk * v
             fg += _WG[3] * v
             fabs += wk * abs(v)
@@ -103,7 +112,7 @@ def gauss_kronrod_panel(
         hi = f(center + halfwidth * x)
         if not (math.isfinite(lo) and math.isfinite(hi)):
             bad = center - halfwidth * x if not math.isfinite(lo) else center + halfwidth * x
-            raise ValueError(f"integrand returned non-finite value at {bad!r}")
+            raise NonFiniteIntegrandError(f"integrand returned non-finite value at {bad!r}")
         fk += wk * (lo + hi)
         fabs += wk * (abs(lo) + abs(hi))
         if i % 2 == 1:

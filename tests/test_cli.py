@@ -1,13 +1,22 @@
 """End-to-end tests of the command-line interface via main(argv)."""
 
+import contextlib
+import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import deltalab
 from deltalab import __version__
 from deltalab.cli import main
+from deltalab.expr import FUNCTIONS
 from deltalab.qm1d import susy_partner_core_integral
+from test_acceptance import CLI_EXAMPLES
 
 
 def run_cli(capsys, argv):
@@ -193,6 +202,74 @@ def test_complex_expression_value_is_a_single_line_error(capsys):
     assert err.startswith("error: ")
     assert err.count("\n") == 1
     assert "z = " in err
+
+
+@pytest.mark.parametrize(
+    "argv, failure",
+    [
+        (["action", "--f", "log(z)"], "leaves a function's domain"),
+        (["action", "--f", "z^-1", "--family", "lorentzian"], "overflows"),
+    ],
+)
+def test_math_error_names_the_expression_and_the_point(capsys, argv, failure):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: expression {argv[2]!r} {failure} at z = ")
+
+
+@pytest.mark.parametrize(
+    "text, failure",
+    [
+        # sin(exp(z)) vanishes inside the gaussian window, so the integrand
+        # has poles that no panel budget resolves.
+        ("(-cosh(z))/(sin(exp(z)))", "quadrature budget exhausted"),
+        # 1/(z*z) is inf, without raising, where z*z is subnormal.
+        ("1/(z*z)", "integrand returned non-finite value"),
+    ],
+)
+def test_quadrature_error_is_a_single_line_naming_the_expression(capsys, text, failure):
+    code, out, err = run_cli(capsys, ["action", "--f", text])
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: expression {text!r}: {failure}")
+
+
+def _expressions():
+    atoms = st.sampled_from(["z", "1", "2.5", "0.001", "100"])
+
+    def extend(inner):
+        return st.one_of(
+            st.tuples(st.sampled_from(sorted(FUNCTIONS)), inner).map("{0[0]}({0[1]})".format),
+            inner.map("-({})".format),
+            st.tuples(inner, st.sampled_from("+-*/^"), inner).map("({0[0]}){0[1]}({0[2]})".format),
+        )
+
+    # No atom is a literal zero, so every expression drawn parses.
+    return st.recursive(atoms, extend, max_leaves=8)
+
+
+@settings(max_examples=100)
+@given(
+    text=_expressions(),
+    command=st.sampled_from([
+        ["action"], ["action", "--family", "lorentzian"], ["breve"],
+        ["ip", "--k", "1", "--moment", "1"],
+    ]),
+)
+def test_expression_errors_are_one_line_naming_the_expression(text, command):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*command, "--f", text, "--no-timestamp"])
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+        assert repr(text) in err.getvalue()
+    else:
+        assert err.getvalue() == ""
 
 
 # ---------------------------------------------------------------------------
@@ -396,3 +473,42 @@ def test_qm_bound_window_must_be_complete(capsys):
     )
     assert code == 1
     assert "emin" in err and "emax" in err
+
+
+# ---------------------------------------------------------------------------
+# import footprint: each subcommand loads only what its code path calls
+# ---------------------------------------------------------------------------
+
+_FOOTPRINT_PROBE = """
+import contextlib, io, sys
+import deltalab.cli
+code = 0
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = deltalab.cli.main(sys.argv[1:] + ["--no-timestamp"])
+print(code, *sorted({name.partition(".")[0] for name in sys.modules} & {"numpy", "scipy"}))
+"""
+
+# Top-level numpy/scipy packages loaded by a subcommand; qm-darboux and
+# qm-commute call scipy's tridiagonal eigensolver and erf, so they may load
+# both and are only run.
+_FOOTPRINT = {
+    None: [], "kernel": [], "action": [], "ip": [], "breve": [],
+    "qm-bound": ["numpy"], "qm-scatter": ["numpy"], "qm-bands": ["numpy"],
+}
+
+
+@pytest.mark.parametrize(
+    "argv", [[]] + CLI_EXAMPLES, ids=lambda argv: argv[0] if argv else "import"
+)
+def test_subcommand_import_footprint(argv):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(deltalab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT_PROBE, *argv], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    code, *loaded = proc.stdout.split()
+    assert code == "0"
+    command = argv[0] if argv else None
+    if command in _FOOTPRINT:
+        assert loaded == _FOOTPRINT[command]

@@ -148,3 +148,22 @@ def test_division_by_literal_zero_offset_points_at_slash():
 def test_make_function_raises_at_definition_time():
     with pytest.raises(ExpressionError):
         make_function("1 +")
+
+
+@pytest.mark.parametrize(
+    "text, z, failure",
+    [
+        ("log(z)", -1.0, "leaves a function's domain"),
+        ("sqrt(z)", -4.0, "leaves a function's domain"),
+        ("z^-1", 1e-320, "overflows"),
+        ("exp(z)", 1e3, "overflows"),
+        ("1/(z-1)", 1.0, "divides by zero"),
+        ("z^-1", 0.0, "divides by zero"),
+        ("z^0.5", -2.0, "is complex"),
+    ],
+)
+def test_evaluation_errors_name_the_expression_and_the_point(text, z, failure):
+    f = make_function(text)
+    with pytest.raises(ValueError) as info:
+        f(z)
+    assert str(info.value) == f"expression {text!r} {failure} at z = {z!r}"

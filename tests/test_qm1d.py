@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 from scipy.optimize import brentq
 
+from deltalab import qm1d
 from deltalab.qm1d import (
     BandPoint,
     GridPotential,
@@ -269,6 +270,95 @@ def test_bound_states_window_validation():
     v = delta_well_box(1.0, 0.5)
     with pytest.raises(ValueError):
         bound_states(v, window=(-100.0, -50.0))
+
+
+# ---------------------------------------------------------------------------
+# the in-tree Brent solver, against scipy.optimize.brentq
+# ---------------------------------------------------------------------------
+
+
+def test_brentq_port_matches_scipy_on_every_bound_state_refinement(monkeypatch):
+    rng = random.Random(2024)
+    wells = [
+        delta_well_box(rng.uniform(0.3, 6.0), math.exp(rng.uniform(math.log(5e-4), math.log(0.5))))
+        for _ in range(24)
+    ]
+    wells += [
+        PiecewisePotential(
+            sorted(rng.uniform(-1.0, 1.0) for _ in range(4)),
+            (0.0, *(rng.uniform(-30.0, 5.0) for _ in range(3)), 0.0),
+        )
+        for _ in range(12)
+    ]
+    port, pairs = qm1d.brentq, []
+
+    def both(f, a, b, **kw):
+        root = port(f, a, b, **kw)
+        pairs.append((root.hex(), float(brentq(f, a, b, **kw)).hex()))
+        return root
+
+    monkeypatch.setattr(qm1d, "brentq", both)
+    for v in wells:
+        bound_states(v)
+    assert len(pairs) > 40
+    assert [p for p, _ in pairs] == [s for _, s in pairs]
+
+
+# Functions with one sign change at r, covering the secant, inverse
+# quadratic and bisection steps.
+BRACKET_FAMILIES = [
+    lambda r, c: lambda x: (x - r) * (1.0 + c * x * x),
+    lambda r, c: lambda x: math.tanh(c * (x - r)) + 1e-3 * (x - r),
+    lambda r, c: lambda x: math.expm1(c * (x - r)),
+    lambda r, c: lambda x: c * (x - r) ** 3,
+    lambda r, c: lambda x: math.atan(1e3 * (x - r)),
+    lambda r, c: lambda x: 1.0 if x > r else -1.0,
+    lambda r, c: lambda x: math.copysign(abs(x - r) ** 0.2, x - r),
+]
+
+
+def _outcome(solver, *args, **kw):
+    """The root as float.hex, or the type and text of the error raised."""
+    try:
+        return float(solver(*args, **kw)).hex()
+    except (ValueError, RuntimeError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("xtol", [1e-6, 1e-10, 1e-12, 2e-12])
+def test_brentq_port_matches_scipy_on_seeded_brackets(xtol):
+    # The triple root of the cubic family exhausts maxiter at the tighter
+    # tolerances, so the RuntimeError path is compared too.
+    rng = random.Random(int(-math.log10(xtol) * 10))
+    for i in range(700):
+        r, c = rng.uniform(-2.0, 3.0), rng.uniform(0.1, 5.0)
+        f = BRACKET_FAMILIES[i % len(BRACKET_FAMILIES)](r, c)
+        a, b = rng.uniform(r - 4.0, r), rng.uniform(r, r + 4.0)
+        if i % 2:
+            a, b = b, a
+        assert _outcome(qm1d.brentq, f, a, b, xtol=xtol) == _outcome(brentq, f, a, b, xtol=xtol)
+
+
+@pytest.mark.parametrize(
+    "f, a, b, xtol, error",
+    [
+        (math.sin, -1.0, 2.0, 0.0, ValueError),
+        (math.sin, -1.0, 2.0, -1e-12, ValueError),
+        (math.cos, -1.0, 1.0, 1e-12, ValueError),  # no sign change
+        (lambda x: math.nan if x > 0.5 else x, -1.0, 1.0, 1e-12, ValueError),
+        (lambda x: (x - 0.3) ** 3, -1.0, 1.0, 1e-12, RuntimeError),  # 100 iterations
+    ],
+)
+def test_brentq_port_raises_where_scipy_does(f, a, b, xtol, error):
+    with pytest.raises(error):
+        brentq(f, a, b, xtol=xtol)
+    with pytest.raises(error):
+        qm1d.brentq(f, a, b, xtol=xtol)
+
+
+def test_brentq_port_returns_a_root_endpoint():
+    assert qm1d.brentq(lambda x: x - 1.0, 1.0, 3.0, xtol=1e-12) == 1.0
+    assert qm1d.brentq(lambda x: x + 2.0, 0.0, -2.0, xtol=1e-12) == -2.0
 
 
 # ---------------------------------------------------------------------------
