@@ -14,11 +14,14 @@ parse time; division that vanishes only at runtime raises when evaluated.
 
 Parse trees are plain tuples: ('num', v), ('var',), ('neg', t),
 ('bin', op, l, r), ('call', name, t).  to_source prints a fully
-parenthesized form that parses back to the identical tree.
+parenthesized form that parses back to the identical tree.  make_function
+compiles the tree once, through the ast module, into a Python function
+that sees only FUNCTIONS and no builtins.
 """
 
 from __future__ import annotations
 
+import ast
 import math
 import re
 from typing import Callable
@@ -176,14 +179,21 @@ def parse(text: str) -> tuple:
     """Parse an expression in the variable z into a tuple tree."""
     if not isinstance(text, str):
         raise TypeError("expression must be a string")
-    return _Parser(text).parse()
+    try:
+        return _Parser(text).parse()
+    except RecursionError:
+        raise _too_deep() from None
+
+
+def _too_deep() -> ExpressionError:
+    return ExpressionError("expression nests too deeply", 0)
 
 
 def to_source(node: tuple) -> str:
     """Fully parenthesized source; parse(to_source(t)) == t."""
     tag = node[0]
     if tag == "num":
-        return repr(node[1])
+        return "1e999" if node[1] == math.inf else repr(node[1])  # repr(inf) is 'inf'
     if tag == "var":
         return "z"
     if tag == "neg":
@@ -195,28 +205,32 @@ def to_source(node: tuple) -> str:
     raise ValueError(f"malformed node {node!r}")
 
 
-def _eval_node(node: tuple, z: float) -> float:
+_OPS = {"+": ast.Add, "-": ast.Sub, "*": ast.Mult, "/": ast.Div, "^": ast.Pow}
+_AT = {"lineno": 1, "col_offset": 0}  # compile() wants a position on every node
+
+
+def _to_ast(node: tuple) -> ast.expr:
     tag = node[0]
     if tag == "num":
-        return node[1]
+        return ast.Constant(node[1], **_AT)
     if tag == "var":
-        return z
+        return ast.Name("z", ast.Load(), **_AT)
     if tag == "neg":
-        return -_eval_node(node[1], z)
+        return ast.UnaryOp(ast.USub(), _to_ast(node[1]), **_AT)
     if tag == "call":
-        return FUNCTIONS[node[1]](_eval_node(node[2], z))
-    op = node[1]
-    lhs = _eval_node(node[2], z)
-    rhs = _eval_node(node[3], z)
-    if op == "+":
-        return lhs + rhs
-    if op == "-":
-        return lhs - rhs
-    if op == "*":
-        return lhs * rhs
-    if op == "/":
-        return lhs / rhs
-    return lhs**rhs
+        return ast.Call(ast.Name(node[1], ast.Load(), **_AT), [_to_ast(node[2])], [], **_AT)
+    return ast.BinOp(_to_ast(node[2]), _OPS[node[1]](), _to_ast(node[3]), **_AT)
+
+
+def _compile(tree: tuple) -> Callable[[float], float]:
+    """Compile a parse tree into ``lambda z: ...`` that sees only FUNCTIONS."""
+    args = ast.arguments([], [ast.arg("z", **_AT)], None, [], [], None, [])
+    try:
+        code = compile(ast.Expression(ast.Lambda(args, _to_ast(tree), **_AT)),
+                       "<expression>", "eval")
+    except RecursionError:
+        raise _too_deep() from None
+    return eval(code, {"__builtins__": {}, **FUNCTIONS})
 
 
 # What an evaluation error means, by the error Python's arithmetic and the
@@ -237,13 +251,14 @@ def make_function(text: str) -> Callable[[float], float]:
     or leaves a function's domain (log or sqrt of a negative number)
     raises ValueError naming the expression and that z.  A value that is
     inf or nan without raising (1/z at a subnormal z) is returned; the
-    quadrature rejects it with NonFiniteIntegrandError.
+    quadrature rejects it with NonFiniteIntegrandError.  An expression
+    nested too deeply to parse or compile raises ExpressionError.
     """
-    tree = parse(text)
+    core = _compile(parse(text))
 
     def fn(z: float) -> float:
         try:
-            return float(_eval_node(tree, z))
+            return float(core(z))
         except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             what = next(msg for cls, msg in _EVAL_FAILURES if isinstance(exc, cls))
             raise ValueError(f"expression {text!r} {what} at z = {z!r}") from None

@@ -237,6 +237,24 @@ def test_quadrature_error_is_a_single_line_naming_the_expression(capsys, text, f
     assert err.startswith(f"error: expression {text!r}: {failure}")
 
 
+def _run_subprocess(argv):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(deltalab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize(
+    "text", ["(" * 300 + "z" + ")" * 300, "+".join(["z"] * 2000)], ids=["parens", "sum"]
+)
+def test_deep_nesting_is_a_single_line_error(text):
+    proc = _run_subprocess(["-m", "deltalab.cli", "action", "--f", text])
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: expression nests too deeply at offset 0\n"
+
+
 def _expressions():
     atoms = st.sampled_from(["z", "1", "2.5", "0.001", "100"])
 
@@ -502,11 +520,8 @@ _FOOTPRINT = {
     "argv", [[]] + CLI_EXAMPLES, ids=lambda argv: argv[0] if argv else "import"
 )
 def test_subcommand_import_footprint(argv):
-    src = os.path.dirname(os.path.dirname(os.path.abspath(deltalab.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT_PROBE, *argv], env=env,
-                          capture_output=True, text=True, timeout=120, check=True)
+    proc = _run_subprocess(["-c", _FOOTPRINT_PROBE, *argv])
+    proc.check_returncode()
     code, *loaded = proc.stdout.split()
     assert code == "0"
     command = argv[0] if argv else None
